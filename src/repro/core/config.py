@@ -126,8 +126,17 @@ class MiddleboxConfig:
             raise ValueError(
                 f"unknown spine {self.spine!r}; expected 'batch' or 'scalar'"
             )
-        if self.num_cores < 1:
-            raise ValueError(f"num_cores must be >= 1, got {self.num_cores}")
+        for name in (
+            "num_cores", "batch_size", "queue_capacity", "ring_capacity",
+            "flow_table_capacity",
+        ):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.spray_bits is not None and not 1 <= self.spray_bits <= 16:
+            raise ValueError(
+                f"spray_bits must be None or in [1, 16], got {self.spray_bits}"
+            )
         if not 1 <= self.subset_size <= self.num_cores:
             raise ValueError(
                 f"subset_size must be in [1, {self.num_cores}], got {self.subset_size}"

@@ -339,18 +339,42 @@ class MiddleboxEngine:
         A closure (rather than per-packet virtual dispatch) keeps the
         hot path tight, the same way DPDK apps specialize their loops.
         """
-        if self._scr is not None:
-            return self._make_scr_processor(ctx)
         costs = self.costs
         nf = self.nf
         stats = self.stats
         redirect = self.policy.redirect_connection_packets and not nf.stateless
         classify_needed = not nf.stateless
+        connection_handler = nf.connection_packets
         # Opt-in batch NF API: a batch-capable NF handles the whole
         # regular batch through process_batch; everything else keeps the
         # per-batch regular_packets call unchanged. Bound once — no
         # per-batch dispatch.
         regular_handler = nf.process_batch if nf.batch_capable else nf.regular_packets
+        scr = self._scr
+        if scr is not None:
+            # State-compute replication: the policy never redirects, so
+            # every packet is processed on its arrival core. The flow's
+            # packet-history log brings this core's replica up to date
+            # first — replayed up to each connection packet, and to the
+            # log tip once per distinct flow ahead of a regular batch.
+            core_id = ctx.core_id
+            deliver = scr.deliver
+            sync = scr.sync
+            nf_regular = regular_handler
+
+            def connection_handler(batch: List[Packet], batch_ctx: NfContext) -> None:
+                for packet in batch:
+                    deliver(core_id, packet, batch_ctx, nf)
+
+            def regular_handler(batch: List[Packet], batch_ctx: NfContext) -> None:
+                synced: set = set()
+                for packet in batch:
+                    flow = packet.five_tuple
+                    if flow not in synced:
+                        synced.add(flow)
+                        sync(core_id, flow, batch_ctx, nf)
+                nf_regular(batch, batch_ctx)
+
         # The paper's connection-packet predicate (SYN/FIN/RST on TCP),
         # inlined as one protocol compare + one mask test per packet.
         conn_mask = SYN | FIN | RST
@@ -425,7 +449,7 @@ class MiddleboxEngine:
             ctx._cycles = 0.0
             ctx._dropped.clear()
             if connection_batch:
-                nf.connection_packets(connection_batch, ctx)
+                connection_handler(connection_batch, ctx)
             if regular_batch:
                 regular_handler(regular_batch, ctx)
             cycles += ctx._cycles
@@ -454,84 +478,6 @@ class MiddleboxEngine:
             if outputs:
                 cycles += tx_fixed + tx_pp * len(outputs)
             return BatchResult(cycles, outputs, transfers)
-
-        return process
-
-    def _make_scr_processor(self, ctx: NfContext):
-        """The no-ring fast path for state-compute replication.
-
-        Connection packets are processed wherever they land — the
-        replication log (:class:`repro.steering.scr.ScrReplication`)
-        replays whatever history this core has not yet applied, so its
-        replica is current before the NF runs. Nothing is ever pushed
-        to a transfer ring, and no designated-core lookup happens at
-        all: steering is the NIC's spray rules, full stop.
-        """
-        costs = self.costs
-        nf = self.nf
-        stats = self.stats
-        scr = self._scr
-        conn_mask = SYN | FIN | RST
-        regular_handler = nf.process_batch if nf.batch_capable else nf.regular_packets
-
-        def process(core: Core, foreign: List[Packet], local: List[Packet]) -> BatchResult:
-            cycles = 0.0
-            if foreign:
-                # Nothing transfers under SCR; drained defensively so an
-                # externally pushed descriptor is processed, not lost.
-                cycles += costs.ring_drain_cycles(len(foreign))
-                local = foreign + local
-            if local:
-                cycles += costs.rx_burst_cycles(len(local))
-            cycles += costs.classify_per_packet * len(local)
-            connection_batch: List[Packet] = []
-            regular_batch: List[Packet] = []
-            for packet in local:
-                if packet.five_tuple.protocol == PROTO_TCP and packet.flags & conn_mask:
-                    connection_batch.append(packet)
-                else:
-                    regular_batch.append(packet)
-
-            core_id = core.core_id
-            ctx.begin_batch()
-            if connection_batch:
-                stats.connection_packets += len(connection_batch)
-                for packet in connection_batch:
-                    scr.deliver(core_id, packet, ctx, nf)
-            if regular_batch:
-                synced: set = set()
-                for packet in regular_batch:
-                    flow = packet.five_tuple
-                    if flow not in synced:
-                        synced.add(flow)
-                        scr.sync(core_id, flow, ctx, nf)
-                regular_handler(regular_batch, ctx)
-            cycles += ctx.end_batch()
-
-            if ctx._dropped:
-                outputs: List[Packet] = []
-                dropped = 0
-                is_dropped = ctx.is_dropped
-                for packet in connection_batch:
-                    if is_dropped(packet):
-                        dropped += 1
-                    else:
-                        outputs.append(packet)
-                for packet in regular_batch:
-                    if is_dropped(packet):
-                        dropped += 1
-                    else:
-                        outputs.append(packet)
-                stats.packets_dropped_nf += dropped
-            elif connection_batch:
-                connection_batch.extend(regular_batch)
-                outputs = connection_batch
-            else:
-                outputs = regular_batch
-            stats.packets_forwarded += len(outputs)
-            if outputs:
-                cycles += costs.tx_burst_cycles(len(outputs))
-            return BatchResult(cycles, outputs, [])
 
         return process
 

@@ -86,11 +86,6 @@ class Core:
         self.ring = None  # set by Host wiring
         self.processor: Optional[Processor] = None
         self.on_output: Optional[Callable[[Packet], None]] = None
-        #: Batch egress: when set, a completion's outputs are emitted in
-        #: ONE call (after their done_time/processed_core stamps) instead
-        #: of one ``on_output`` call per packet. Wired by
-        #: :meth:`repro.cpu.host.Host.set_egress_many` on the batch spine.
-        self.on_output_many: Optional[Callable[[List[Packet]], None]] = None
         self.on_transfer: Optional[Callable[[int, Packet], None]] = None
         #: Optional telemetry histogram fed one observation per batch
         #: (packets in the batch). A single None-check per batch.
@@ -245,23 +240,14 @@ class Core:
         outputs = result.outputs
         if outputs:
             self.stats.packets_forwarded += len(outputs)
-            emit_many = self.on_output_many
-            if emit_many is not None:
+            emit = self.on_output
+            if emit is not None:
                 now = self.sim._now
                 core_id = self.core_id
                 for packet in outputs:
                     packet.done_time = now
                     packet.processed_core = core_id
-                emit_many(outputs)
-            else:
-                emit = self.on_output
-                if emit is not None:
-                    now = self.sim._now
-                    core_id = self.core_id
-                    for packet in outputs:
-                        packet.done_time = now
-                        packet.processed_core = core_id
-                        emit(packet)
+                    emit(packet)
         transfers = result.transfers
         if transfers:
             self.stats.packets_transferred += len(transfers)

@@ -60,21 +60,6 @@ class Host:
         for core in self.cores:
             core.on_output = counted_egress
 
-    def set_egress_many(self, egress_many: Callable[[List[Packet]], None]) -> None:
-        """Batch egress: one hook call per completion's outputs.
-
-        The batch-spine counterpart of :meth:`set_egress` — same count,
-        taken in one increment. ``set_egress`` stays wired as the
-        per-packet fallback for cores without batch egress.
-        """
-
-        def counted_egress_many(packets: List[Packet]) -> None:
-            self.packets_out += len(packets)
-            egress_many(packets)
-
-        for core in self.cores:
-            core.on_output_many = counted_egress_many
-
     def total_busy_time(self) -> int:
         return sum(core.stats.busy_time_ps for core in self.cores)
 

@@ -152,20 +152,10 @@ def run_open_loop(
     if engine.config.spine == "batch" and engine.ingress_batchable and not payload_len:
         ArrivalStager(engine).attach(ingress)
         generator.batch_sink = ingress.send_batch
-        # Egress leg of the spine: a completion's outputs are deferred
-        # off the heap entirely (zero delivery events) and drained at
-        # the flush_deferred window seams below; the sampler's extra
-        # liveness probe keeps its quiescence check scalar-exact.
-        engine.host.set_egress_many(egress.send_many)
-        sampler = engine.telemetry.sampler
-        if sampler is not None:
-            sampler.extra_live = egress.has_undelivered
     generator.start(at=0)
     sim.run(until=warmup)
-    egress.flush_deferred(sim.now)
     meter.open_window(sim.now)
     sim.run(until=duration)
-    egress.flush_deferred(sim.now)
     meter.close_window(sim.now)
     generator.stop()
     return OpenLoopResult(

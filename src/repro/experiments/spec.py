@@ -263,7 +263,16 @@ def run_scenario(scenario: Scenario, capture: bool = False) -> PointResult:
         raise ValueError(
             f"unknown scenario kind {scenario.kind!r}; have {sorted(KIND_RUNNERS)}"
         ) from None
-    values, dump = runner(scenario)
+    try:
+        values, dump = runner(scenario)
+    except Exception as error:
+        # Name the point: a sweep surfaces the first failing point's
+        # error, and pool workers send back only the exception.
+        raise RuntimeError(
+            f"scenario (label={scenario.label!r}, kind={scenario.kind!r}, "
+            f"mode={scenario.mode!r}, seed={scenario.seed}) failed: "
+            f"{type(error).__name__}: {error}"
+        ) from error
     telemetry = None
     if capture:
         telemetry = {

@@ -13,7 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappush
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional
 
 from repro.net.batch import NO_ARRIVAL, PacketBatch
 from repro.net.packet import ETHERNET_OVERHEAD, Packet
@@ -91,12 +91,6 @@ class Link:
         #: keep using ``sink``; both may be wired at once (the fault
         #: fallback relies on it).
         self.batch_sink: Optional[Callable[[PacketBatch, int], None]] = None
-        #: Deliveries parked by :meth:`send_many` (batch-spine egress):
-        #: ``(packet, arrival)`` rows in arrival order, drained by one
-        #: heap event per send and by the :meth:`flush_deferred` seams.
-        self._deferred: Deque[Tuple[Packet, int]] = deque()
-        #: (arrival, reserved heap sequence) of the newest deferred row.
-        self._deferred_tail: Tuple[int, int] = (0, 0)
         #: Active fault-injection impairment (None = healthy link; the
         #: hot path then pays one attribute load).
         self._fault: Optional[LinkFault] = None
@@ -189,100 +183,6 @@ class Link:
         sim._live += 1
         heappush(sim._queue, (arrival, sim._sequence, None, sink, (packet, arrival)))
         return arrival
-
-    def send_many(self, packets: List[Packet], now: Optional[int] = None) -> None:
-        """Transmit a completion's outputs with *zero* heap events.
-
-        Per-packet semantics are exactly ``for p in packets: send(p)``
-        on a healthy, unbounded link — same FIFO serialization and
-        arrival times, same counters, and the sink is still invoked
-        once per packet with the same ``(packet, arrival)`` arguments —
-        but deliveries are parked on a deferred queue and drained at
-        the :meth:`flush_deferred` seams instead of costing one heap
-        event each. Deferral is invisible to the simulation: the sink
-        is a pure collector (it reads only its arguments plus window
-        flags that change exactly at the flush seams), and quiescence
-        checks see the scalar picture through :meth:`has_undelivered` —
-        the heap sequences the scalar deliveries would have consumed
-        are still reserved here, so even same-instant ties against the
-        probing event resolve identically.
-
-        A transmit-queue limit or an active impairment needs per-packet
-        drop decisions / Bernoulli draws in send order, so those fall
-        back to the scalar path.
-        """
-        if self.sink is None:
-            raise RuntimeError(f"link {self.name!r} has no sink attached")
-        if self.queue_limit is not None or self._fault is not None:
-            send = self.send
-            for packet in packets:
-                send(packet)
-            return
-        sim = self.sim
-        now = sim._now
-        free_at = self._transmitter_free_at
-        start = free_at if free_at > now else now
-        ser_cache = self._ser_cache
-        rate_bps = self.rate_bps
-        prop = self.propagation_delay
-        deferred = self._deferred
-        sent_bytes = 0
-        for packet in packets:
-            frame_len = packet.frame_len
-            wire_bytes = frame_len + ETHERNET_OVERHEAD
-            ser = ser_cache.get(wire_bytes)
-            if ser is None:
-                ser = round(wire_bytes * 8 * SECOND / rate_bps)
-                ser_cache[wire_bytes] = ser
-            start += ser
-            sent_bytes += frame_len
-            deferred.append((packet, start + prop))
-        self._transmitter_free_at = start
-        self.packets_sent += len(packets)
-        self.bytes_sent += sent_bytes
-        # Reserve the sequences the scalar delivery events would have
-        # consumed: later allocations keep their scalar numbers, and
-        # the tail sequence makes has_undelivered tie-exact.
-        sim._sequence += len(packets)
-        self._deferred_tail = (start + prop, sim._sequence)
-
-    def has_undelivered(self) -> bool:
-        """Whether a deferred delivery is still "live" in scalar terms.
-
-        O(1) and exact: the deferred rows are arrival-ordered, so only
-        the tail matters, and a scalar delivery event at ``(arrival,
-        seq)`` would still be pending iff it sorts after the currently
-        firing event — the same heap-order comparison the batch spine
-        uses for settlement. Self-rescheduling timers (the telemetry
-        sampler) OR this into ``sim.has_live_events()`` so quiescence
-        detection matches the scalar spine tick for tick.
-        """
-        if not self._deferred:
-            return False
-        arrival, seq = self._deferred_tail
-        sim = self.sim
-        now = sim._now
-        return arrival > now or (arrival == now and seq > sim._event_seq)
-
-    def flush_deferred(self, now: Optional[int] = None) -> None:
-        """Deliver every deferred packet due by ``now``.
-
-        The delivery seam: measurement code that flips state the sink
-        reads (e.g. the rate meter's window flag) must flush first, so
-        deliveries the scalar spine would already have made land on the
-        correct side of the flip. ``run(until=t)`` fires events with
-        time <= t, hence the inclusive comparison. No-op when nothing
-        is deferred (scalar spine included).
-        """
-        deferred = self._deferred
-        if not deferred:
-            return
-        if now is None:
-            now = self.sim._now
-        sink = self.sink
-        while deferred and deferred[0][1] <= now:
-            packet, arrival = deferred.popleft()
-            sink(packet, arrival)
 
     def send_batch(self, batch: PacketBatch, now: Optional[int] = None) -> None:
         """Transmit a whole batch: fill its arrival column, hand it on.

@@ -32,11 +32,6 @@ class EngineSampler:
         #: spine hooks this to settle staged arrivals whose scalar
         #: events would have fired before the tick.
         self.pre_sample: Optional[Callable[[], None]] = None
-        #: Extra liveness probe ORed into the quiescence check below:
-        #: the batch spine defers egress deliveries off the heap, so a
-        #: tick must keep re-arming while a deferred delivery's scalar
-        #: event would still have been pending (``Link.has_undelivered``).
-        self.extra_live: Optional[Callable[[], bool]] = None
         #: The recorded time series, one snapshot dict per tick.
         self.series: List[Dict[str, Any]] = []
         self._armed = False
@@ -72,8 +67,7 @@ class EngineSampler:
         self.sample()
         # Keep ticking only while the rest of the simulation is alive;
         # otherwise disarm so drain-style runs can terminate.
-        extra_live = self.extra_live
-        if self.sim.has_live_events() or (extra_live is not None and extra_live()):
+        if self.sim.has_live_events():
             self.sim.after(self.interval_ps, self._tick)
         else:
             self._armed = False

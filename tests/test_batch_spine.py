@@ -1,4 +1,4 @@
-"""The SoA batch spine's record and link legs, in isolation.
+"""The SoA batch spine's record and link legs.
 
 Three properties the conformance matrix cannot pin on its own:
 
@@ -10,22 +10,23 @@ Three properties the conformance matrix cannot pin on its own:
    ``LinkFault`` on the batch path falls back to scalar sends and mints
    duplicates via ``Packet.clone()``: every delivered packet, original
    or duplicate, carries its own id.
-3. **Deferred egress equivalence** — ``send_many`` parks deliveries off
-   the heap but must reproduce scalar ``send`` byte for byte: same
-   arrival times and order, same counters, and a liveness probe that
-   agrees with the heap about what is still pending.
+3. **Egress timing** — the batch spine batches ingress only: in a full
+   ``run_open_loop`` run every forwarded packet reaches the egress sink
+   at its own arrival instant, exactly as on the scalar spine.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import harness
 from repro.net import FiveTuple, make_tcp_packet
 from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
 from repro.nic.link import Link, LinkFault
-from repro.sim import MICROSECOND, Simulator
+from repro.sim import MICROSECOND, MILLISECOND, Simulator
 
 # Column type bounds: flags/checksums/frame_lens are array('H'),
 # seqs/created_ats are array('q').
@@ -149,69 +150,34 @@ class TestCloneIdentityUnderLinkDup:
         assert not sim.has_live_events()
 
 
-class TestDeferredEgressEquivalence:
-    """``send_many`` == ``for p: send(p)``, minus the heap events."""
+class TestEgressTiming:
+    """Forwarded packets leave through ``Link.send``: on the batch spine
+    too, each one reaches the egress sink by its own heap event, at the
+    instant its last bit arrives."""
 
-    def _packets(self, n, seed=9):
-        rng = random.Random(seed)
-        return [
-            make_tcp_packet(
-                FiveTuple(rng.getrandbits(32), rng.getrandbits(32), 1000 + i, 80, 6),
-                tcp_checksum=rng.getrandbits(16),
-            )
-            for i in range(n)
-        ]
+    @pytest.mark.parametrize("mode", ["rss", "sprayer", "scr"])
+    def test_egress_sink_fires_at_arrival_time(self, mode, monkeypatch):
+        calls = []
 
-    def test_arrivals_and_counters_match_scalar_send(self):
-        scalar_sim, batch_sim = Simulator(), Simulator()
-        scalar_out, batch_out = [], []
-        scalar = Link(scalar_sim, 10e9, 1 * MICROSECOND, name="scalar")
-        scalar.sink = lambda packet, now: scalar_out.append((packet.five_tuple, now))
-        batched = Link(batch_sim, 10e9, 1 * MICROSECOND, name="batched")
-        batched.sink = lambda packet, now: batch_out.append((packet.five_tuple, now))
+        class RecordingLink(Link):
+            def __init__(self, sim, *args, sink=None, **kwargs):
+                if sink is not None:
+                    collector = sink
 
-        packets = self._packets(12)
-        for packet in packets:
-            scalar.send(packet)
-        scalar_sim.run()
+                    def sink(packet, now):
+                        calls.append((sim.now, now))
+                        collector(packet, now)
 
-        batched.send_many(self._packets(12))
-        assert batch_out == []  # parked, not delivered
-        assert batched.has_undelivered()
-        batch_sim.run()  # nothing on the heap: deferral posts no events
-        batched.flush_deferred(scalar_sim.now)
-        assert not batched.has_undelivered()
+                super().__init__(sim, *args, sink=sink, **kwargs)
 
-        assert batch_out == scalar_out
-        assert batched.packets_sent == scalar.packets_sent
-        assert batched.bytes_sent == scalar.bytes_sent
-        assert batched._transmitter_free_at == scalar._transmitter_free_at
-
-    def test_flush_is_a_partial_drain_up_to_now(self):
-        sim = Simulator()
-        out = []
-        link = Link(sim, 10e9, 1 * MICROSECOND, name="seam")
-        link.sink = lambda packet, now: out.append(now)
-        link.send_many(self._packets(6))
-        arrivals = [arrival for _, arrival in link._deferred]
-        # Flush at the third arrival: exactly the due prefix delivers
-        # (run(until=t) fires events with time <= t, so the comparison
-        # is inclusive).
-        link.flush_deferred(arrivals[2])
-        assert out == arrivals[:3]
-        assert link.has_undelivered()
-        link.flush_deferred(arrivals[-1])
-        assert out == arrivals
-        assert not link.has_undelivered()
-
-    def test_faulted_or_limited_links_fall_back_to_scalar_sends(self):
-        sim = Simulator()
-        out = []
-        link = Link(sim, 10e9, 1 * MICROSECOND, name="fallback", queue_limit=4)
-        link.sink = lambda packet, now: out.append(packet)
-        link.send_many(self._packets(3))
-        # The scalar path posted real delivery events; nothing deferred.
-        assert not link._deferred
-        assert sim.has_live_events()
-        sim.run()
-        assert len(out) == 3
+        monkeypatch.setenv("REPRO_SPINE", "batch")
+        monkeypatch.setattr(harness, "Link", RecordingLink)
+        result = harness.run_open_loop(
+            mode, 0, num_flows=16, duration=2 * MILLISECOND, warmup=MILLISECOND
+        )
+        assert result.rate_mpps > 0
+        # Packets still on the egress wire when the run stops are never
+        # delivered; every delivered one is checked.
+        assert 0 < len(calls) <= result.engine_summary["forwarded"]
+        late = [(now, arrival) for now, arrival in calls if now != arrival]
+        assert not late, f"{len(late)} egress deliveries off their arrival time"

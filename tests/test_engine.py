@@ -278,3 +278,20 @@ class TestEngineAccounting:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             MiddleboxConfig(mode="nope")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch_size", 0),
+            ("queue_capacity", 0),
+            ("queue_capacity", -1),
+            ("ring_capacity", -1),
+            ("flow_table_capacity", 0),
+            ("spray_bits", -1),
+        ],
+    )
+    def test_bad_config_rejected_naming_the_field(self, field, value):
+        # Rejected at construction, before any component is built, with
+        # a message that names the offending field.
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            MiddleboxConfig(**{field: value})

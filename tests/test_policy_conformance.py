@@ -133,8 +133,8 @@ class TestConformanceMatrix:
 @pytest.mark.parametrize("mode", ALL_MODES)
 class TestSpineConformance:
     """The batch data path's acceptance bar: for every policy, the SoA
-    spine (columnar bursts, eager steering, lazy settlement, deferred
-    egress) must be byte-identical to the scalar spine — rates, engine
+    spine (columnar bursts, eager steering, lazy settlement) must be
+    byte-identical to the scalar spine — rates, engine
     summary, full telemetry (counters, time series, trace), and every
     latency sample. Policies that cannot batch (flowlet's gap detector
     is arrival-order-stateful) exercise the fallback: config accepts

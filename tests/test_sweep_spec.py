@@ -189,6 +189,22 @@ class TestRunner:
 
             del spec.KIND_RUNNERS["echo_seed"]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_point_is_named_in_the_error(self, jobs):
+        """A sweep point that raises reports which point it was, with
+        the original error chained, on either backend."""
+        bad = Scenario.make(
+            "open_loop", label="figX", mode="rss", seed=7, batch_size=0
+        )
+        with pytest.raises(RuntimeError) as exc_info:
+            SweepRunner(jobs=jobs).run([bad, bad.with_(seed=8)])
+        message = str(exc_info.value)
+        for part in ("label='figX'", "kind='open_loop'", "mode='rss'", "seed=7)"):
+            assert part in message
+        assert "ValueError: batch_size must be >= 1" in message
+        if jobs == 1:
+            assert isinstance(exc_info.value.__cause__, ValueError)
+
     def test_register_kind_rejects_duplicates(self):
         """Silently overwriting a kind would make every sweep using it
         quietly measure something else — refuse unless explicit."""
