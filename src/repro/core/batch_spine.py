@@ -66,7 +66,6 @@ ordering then come from the real heap).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.net.batch import PacketBatch
@@ -76,23 +75,6 @@ from repro.sim.timeunits import SECOND
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.engine import MiddleboxEngine
     from repro.nic.link import Link
-
-
-@dataclass
-class StagerStats:
-    """Stager-side accounting (diagnostics only).
-
-    Deliberately *not* registered with the telemetry registry: the
-    conformance suite compares scalar and batch summaries byte for
-    byte, and these counters exist only on the batch spine.
-    """
-
-    packets_staged: int = 0
-    packets_settled: int = 0
-    batches_staged: int = 0
-    settles: int = 0
-    timers_armed: int = 0
-    reclassifications: int = 0
 
 
 class _Run:
@@ -118,7 +100,6 @@ class ArrivalStager:
         self.sim = engine.sim
         self.nic = engine.nic
         self.host = engine.host
-        self.stats = StagerStats()
         self._runs: Deque[_Run] = deque()
         self._dirty = False
         self._settling = False
@@ -194,9 +175,6 @@ class ArrivalStager:
         sim._sequence += n
         queues, vias = self.nic.steer_batch(batch)
         self._runs.append(_Run(batch, queues, vias, seq0))
-        stats = self.stats
-        stats.batches_staged += 1
-        stats.packets_staged += n
         self._arm()
 
     # -- settlement ---------------------------------------------------------
@@ -226,7 +204,6 @@ class ArrivalStager:
 
     def _settle(self, now: int, barrier_seq) -> None:
         self._settling = True
-        self.stats.settles += 1
         try:
             if self._dirty:
                 self._reclassify()
@@ -374,7 +351,6 @@ class ArrivalStager:
                     nic_stats.rx_dropped_fault += fault_drop_d
                 if queue_full_d:
                     nic_stats.rx_dropped_queue_full += queue_full_d
-            self.stats.packets_settled += settled
             if settled:
                 skip = self._skip - settled
                 self._skip = skip if skip > 0 else 0
@@ -395,7 +371,6 @@ class ArrivalStager:
         for run in self._runs:
             if run.idx < len(run.batch.flows):
                 run.queues, run.vias = steer(run.batch)
-                self.stats.reclassifications += 1
 
     # -- mutation / idle hooks ---------------------------------------------
 
@@ -503,7 +478,6 @@ class ArrivalStager:
         self._timer_gen += 1
         self._timer_at = at
         self.sim.post(at, self._on_timer, self._timer_gen)
-        self.stats.timers_armed += 1
 
     def _on_timer(self, gen: int) -> None:
         if gen != self._timer_gen:

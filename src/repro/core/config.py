@@ -25,18 +25,6 @@ def _strict_checks_default() -> bool:
     )
 
 
-def _spine_default() -> str:
-    """Default for ``spine``: the ``REPRO_SPINE`` env var, else "batch".
-
-    Same env-var rationale as :func:`_strict_checks_default`: it reaches
-    in-process runs and every ``--jobs N`` pool worker alike, which is
-    what lets CI pin ``REPRO_SPINE=scalar`` for the differential
-    fingerprint gate without threading a flag through every figure.
-    """
-    value = os.environ.get("REPRO_SPINE", "").strip().lower()
-    return value or "batch"
-
-
 @dataclass
 class MiddleboxConfig:
     """Everything static about the simulated middlebox.
@@ -79,15 +67,6 @@ class MiddleboxConfig:
     flowlet_gap: int = 50_000_000  # 50 us
     #: Cores per flow in "subset" mode.
     subset_size: int = 2
-    #: Ingress spine: "batch" moves struct-of-arrays
-    #: :class:`~repro.net.batch.PacketBatch` records from the generator
-    #: through steering with lazy per-packet settlement; "scalar" keeps
-    #: one heap event + one ``Packet`` object per ingress packet. Pure
-    #: implementation choice — results are byte-identical either way
-    #: (the conformance suite and the ``soa-smoke`` CI gate enforce it).
-    #: Policies that cannot batch (flowlet) fall back to scalar
-    #: automatically. Defaults to the ``REPRO_SPINE`` env var.
-    spine: str = field(default_factory=_spine_default)
     #: UDP ports whose flows are sprayed too (§7: "More elaborated
     #: classification could be made to spray only some UDP flows" —
     #: e.g. 443 for QUIC, which tolerates reordering by design). All
@@ -121,10 +100,6 @@ class MiddleboxConfig:
             raise ValueError(
                 f"unknown state_backend {self.state_backend!r}; expected "
                 "None, 'partitioned', 'shared', 'remote', or 'replicated'"
-            )
-        if self.spine not in ("batch", "scalar"):
-            raise ValueError(
-                f"unknown spine {self.spine!r}; expected 'batch' or 'scalar'"
             )
         for name in (
             "num_cores", "batch_size", "queue_capacity", "ring_capacity",

@@ -76,6 +76,32 @@ def build_engine(
     return MiddleboxEngine(sim, nf, config)
 
 
+def cores_overloaded(
+    engine: MiddleboxEngine, offered_pps: float, num_flows: int, nf_cycles: int
+) -> bool:
+    """Whether the cores cannot keep up with the packets they will receive.
+
+    This picks the ingress spine of :func:`run_open_loop`. The batch
+    spine pays off only when the NIC queues overflow: it never boxes a
+    packet the NIC drops. When the cores keep up, every packet is boxed
+    and wakes its core at its own timestamp on either spine, so the
+    columnar staging is pure overhead and the scalar spine is faster.
+
+    Flow Director's cap drops the excess before any core sees it, and
+    without Flow Director (RSS and its kin) ``num_flows`` flows occupy
+    at most that many cores.
+    """
+    nic = engine.nic.config
+    arrival = offered_pps
+    cores = engine.config.num_cores
+    if nic.flow_director_enabled:
+        if nic.flow_director_pps_cap:
+            arrival = min(arrival, nic.flow_director_pps_cap)
+    else:
+        cores = min(num_flows, cores)
+    return arrival > cores * engine.costs.single_core_rate_pps(nf_cycles)
+
+
 def run_open_loop(
     mode: str,
     nf_cycles: int,
@@ -146,10 +172,14 @@ def run_open_loop(
     )
     # The SoA batch spine: columnar bursts, eager steering, lazy
     # settlement. Byte-identical to the scalar spine (enforced by the
-    # conformance suite); policies that cannot batch keep scalar.
-    # Payload-carrying streams stay scalar end to end (batches are a
-    # headers-only hot path), so the stager is never attached for them.
-    if engine.config.spine == "batch" and engine.ingress_batchable and not payload_len:
+    # conformance suite), so the choice changes speed only. Policies
+    # that cannot batch and payload-carrying streams (batches are a
+    # headers-only hot path) stay scalar.
+    if (
+        engine.ingress_batchable
+        and not payload_len
+        and cores_overloaded(engine, offered, len(flows), nf_cycles)
+    ):
         ArrivalStager(engine).attach(ingress)
         generator.batch_sink = ingress.send_batch
     generator.start(at=0)

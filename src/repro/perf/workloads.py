@@ -22,7 +22,6 @@ shared sweep runner.
 from __future__ import annotations
 
 import json
-import os
 import random
 import zlib
 from typing import Callable, Dict, Tuple
@@ -122,28 +121,6 @@ def macro_fig6a(quick: bool, jobs: int = 1) -> Tuple[int, str]:
     else:
         rows = run_fig6a(seed=1, runner=runner)
     return len(rows), _fingerprint(rows)
-
-
-def macro_fig6a_scalar(quick: bool, jobs: int = 1) -> Tuple[int, str]:
-    """Figure 6a on the *scalar* spine: the batch spine's reference.
-
-    The sweep itself is identical to :func:`macro_fig6a`, which runs on
-    the default SoA batch spine; pinning ``REPRO_SPINE=scalar`` for the
-    duration runs the per-packet data path instead. Because the batch
-    spine is byte-identical by construction, both workloads must report
-    the *same fingerprint* in every BENCH file (the CI ``soa-smoke``
-    job asserts exactly that) — only the wall times differ, and their
-    ratio is the committed record of what the SoA spine buys.
-    """
-    saved = os.environ.get("REPRO_SPINE")
-    os.environ["REPRO_SPINE"] = "scalar"
-    try:
-        return macro_fig6a(quick, jobs)
-    finally:
-        if saved is None:
-            del os.environ["REPRO_SPINE"]
-        else:
-            os.environ["REPRO_SPINE"] = saved
 
 
 def macro_fig7a(quick: bool, jobs: int = 1) -> Tuple[int, str]:
@@ -287,7 +264,6 @@ WORKLOADS: Dict[str, Workload] = {
     "steer": micro_steer,
     "event_loop": micro_event_loop,
     "fig6a": macro_fig6a,
-    "fig6a_scalar": macro_fig6a_scalar,
     "fig7a": macro_fig7a,
     "figr": macro_figr,
     "figs": macro_figs,

@@ -18,7 +18,12 @@ from typing import Callable, List, Optional
 
 from repro.net.batch import PacketBatch
 from repro.net.five_tuple import FiveTuple
-from repro.net.packet import Packet, make_tcp_packet
+from repro.net.packet import (
+    MIN_FRAME_SIZE,
+    TCP_FRAME_HEADERS,
+    Packet,
+    make_tcp_packet,
+)
 from repro.net.tcp_flags import ACK, SYN
 from repro.sim.engine import Simulator
 from repro.sim.timeunits import SECOND
@@ -45,6 +50,12 @@ class OpenLoopGenerator:
     ):
         if payload_len < 0:
             raise ValueError(f"payload_len must be non-negative, got {payload_len}")
+        min_frame_len = max(MIN_FRAME_SIZE, TCP_FRAME_HEADERS + payload_len)
+        if frame_len < min_frame_len:
+            raise ValueError(
+                f"frame_len {frame_len} cannot carry payload_len {payload_len}: "
+                f"need at least {min_frame_len} B"
+            )
         if rate_pps <= 0:
             raise ValueError(f"rate_pps must be positive, got {rate_pps}")
         if not flows:

@@ -1,6 +1,6 @@
 """The SoA batch spine's record and link legs.
 
-Three properties the conformance matrix cannot pin on its own:
+Four properties the conformance matrix cannot pin on its own:
 
 1. **Pack/materialize roundtrip** (Hypothesis) — columnizing scalar
    packets and materializing them back preserves every packet-defining
@@ -13,6 +13,9 @@ Three properties the conformance matrix cannot pin on its own:
 3. **Egress timing** — the batch spine batches ingress only: in a full
    ``run_open_loop`` run every forwarded packet reaches the egress sink
    at its own arrival instant, exactly as on the scalar spine.
+4. **Spine selection** — ``run_open_loop`` stages batches only when the
+   cores cannot keep up with the offered load, and never for policies
+   that cannot batch or for payload-carrying streams.
 """
 
 import random
@@ -170,7 +173,7 @@ class TestEgressTiming:
 
                 super().__init__(sim, *args, sink=sink, **kwargs)
 
-        monkeypatch.setenv("REPRO_SPINE", "batch")
+        monkeypatch.setattr(harness, "cores_overloaded", lambda *args: True)
         monkeypatch.setattr(harness, "Link", RecordingLink)
         result = harness.run_open_loop(
             mode, 0, num_flows=16, duration=2 * MILLISECOND, warmup=MILLISECOND
@@ -181,3 +184,60 @@ class TestEgressTiming:
         assert 0 < len(calls) <= result.engine_summary["forwarded"]
         late = [(now, arrival) for now, arrival in calls if now != arrival]
         assert not late, f"{len(late)} egress deliveries off their arrival time"
+
+
+class TestSpineSelection:
+    """The harness attaches the batch spine's stager exactly when the
+    cores cannot keep up: the only load where it beats the scalar
+    spine, because it never boxes the packets the NIC drops."""
+
+    #: perfbench's ``lr64_keepup`` and ``lr64_overload`` shapes, both at
+    #: 64 B line rate (14.88 Mpps).
+    KEEPUP = dict(nf_cycles=0, num_flows=1024)
+    OVERLOAD = dict(nf_cycles=10_000, num_flows=64)
+
+    @staticmethod
+    def staged(monkeypatch, mode, **kwargs):
+        attached = []
+
+        class SpyStager(harness.ArrivalStager):
+            def attach(self, link):
+                attached.append(link)
+                super().attach(link)
+
+        monkeypatch.setattr(harness, "ArrivalStager", SpyStager)
+        harness.run_open_loop(
+            mode, duration=300 * MICROSECOND, warmup=100 * MICROSECOND, **kwargs
+        )
+        return bool(attached)
+
+    @pytest.mark.parametrize("mode", ["rss", "sprayer", "scr"])
+    @pytest.mark.parametrize(
+        "shape, batch", [(KEEPUP, False), (OVERLOAD, True)], ids=["keepup", "overload"]
+    )
+    def test_spine_follows_offered_load(self, monkeypatch, mode, shape, batch):
+        assert self.staged(monkeypatch, mode, **shape) is batch
+
+    @pytest.mark.parametrize(
+        "mode, shape, batch",
+        [
+            # One flow pins RSS to one core, which 14.88 Mpps overloads.
+            ("rss", dict(nf_cycles=0, num_flows=1), True),
+            # Eight cores at 1000 cycles handle 13.7 Mpps: more than
+            # the Flow Director cap (10.5 Mpps) lets through.
+            ("sprayer", dict(nf_cycles=1000, num_flows=64), False),
+        ],
+        ids=["rss-one-flow", "sprayer-fd-cap"],
+    )
+    def test_flow_count_and_fd_cap_bound_the_load(self, monkeypatch, mode, shape, batch):
+        assert self.staged(monkeypatch, mode, **shape) is batch
+
+    @pytest.mark.parametrize(
+        "mode, stream",
+        [("flowlet", {}), ("rss", dict(frame_len=186, payload_len=128))],
+        ids=["flowlet", "payload"],
+    )
+    def test_unbatchable_streams_stay_scalar_under_overload(
+        self, monkeypatch, mode, stream
+    ):
+        assert not self.staged(monkeypatch, mode, **self.OVERLOAD, **stream)

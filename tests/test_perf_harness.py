@@ -153,15 +153,8 @@ class TestRunSuite:
     def test_all_workloads_registered(self):
         assert set(WORKLOADS) == {
             "hash", "steer", "event_loop",
-            "fig6a", "fig6a_scalar", "fig7a", "figr", "figs", "figc", "figp",
+            "fig6a", "fig7a", "figr", "figs", "figc", "figp",
         }
-
-    def test_spine_workloads_fingerprint_identically(self):
-        """fig6a (batch spine) and fig6a_scalar must compute the same
-        simulated results — the spine changes speed, never behaviour."""
-        _, batch_fp = WORKLOADS["fig6a"](True, 1)
-        _, scalar_fp = WORKLOADS["fig6a_scalar"](True, 1)
-        assert batch_fp == scalar_fp
 
 
 class TestTableLog:

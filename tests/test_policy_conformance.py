@@ -25,6 +25,7 @@ import pytest
 
 from repro.core import MiddleboxConfig, MiddleboxEngine, OwnershipViolation
 from repro.core.config import MODES
+from repro.experiments import harness
 from repro.experiments.harness import run_open_loop
 from repro.experiments.runner import SweepRunner
 from repro.experiments.spec import Scenario
@@ -136,13 +137,16 @@ class TestSpineConformance:
     spine (columnar bursts, eager steering, lazy settlement) must be
     byte-identical to the scalar spine — rates, engine
     summary, full telemetry (counters, time series, trace), and every
-    latency sample. Policies that cannot batch (flowlet's gap detector
-    is arrival-order-stateful) exercise the fallback: config accepts
-    ``spine="batch"`` and the engine silently keeps scalar ingress."""
+    latency sample. The harness picks the spine from the offered load,
+    so each run forces one by substituting its load test. Policies that
+    cannot batch (flowlet's gap detector is arrival-order-stateful)
+    exercise the fallback: forced to batch, they keep scalar ingress."""
 
-    def test_scalar_and_batch_rows_are_byte_identical(self, mode):
-        scalar = run_open_loop(mode, spine="scalar", **RUN_KWARGS)
-        batch = run_open_loop(mode, spine="batch", **RUN_KWARGS)
+    def test_scalar_and_batch_rows_are_byte_identical(self, mode, monkeypatch):
+        monkeypatch.setattr(harness, "cores_overloaded", lambda *args: False)
+        scalar = run_open_loop(mode, **RUN_KWARGS)
+        monkeypatch.setattr(harness, "cores_overloaded", lambda *args: True)
+        batch = run_open_loop(mode, **RUN_KWARGS)
         assert scalar.rate_mpps == batch.rate_mpps
         assert scalar.rate_gbps == batch.rate_gbps
         assert canonical(scalar.engine_summary) == canonical(batch.engine_summary)

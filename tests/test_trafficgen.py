@@ -141,6 +141,21 @@ class TestOpenLoopGenerator:
             OpenLoopGenerator(sim, lambda p, t: None, flows, 0, random.Random(2))
         with pytest.raises(ValueError):
             OpenLoopGenerator(sim, lambda p, t: None, [], 1e6, random.Random(2))
+        # A frame too short for its headers and payload would be priced
+        # on the wire as the shorter frame.
+        for frame_len, payload_len in ((64, 128), (185, 128), (10, 0)):
+            with pytest.raises(
+                ValueError, match=f"frame_len {frame_len} .*payload_len {payload_len}"
+            ):
+                OpenLoopGenerator(
+                    sim, lambda p, t: None, flows, 1e6, random.Random(2),
+                    frame_len=frame_len, payload_len=payload_len,
+                )
+        for frame_len, payload_len in ((64, 0), (64, 6), (186, 128)):
+            OpenLoopGenerator(
+                sim, lambda p, t: None, flows, 1e6, random.Random(2),
+                frame_len=frame_len, payload_len=payload_len,
+            )
 
 
 class TestTraceFlow:
