@@ -16,9 +16,10 @@ Behaviour by steering mode:
   shared state (priced through the coherence model). The ablation bench
   uses this to quantify the paper's claim.
 
-Pattern matching is real: the automaton is built with goto/fail links
-and scans actual payload bytes when present; synthetic packets without
-payloads charge the per-byte scan cost without advancing matches.
+Pattern matching is real: the automaton is compiled once into a dense
+transition table (one row of 256 next states per state) and scans
+actual payload bytes when present; synthetic packets without payloads
+charge the per-byte scan cost without advancing matches.
 """
 
 from __future__ import annotations
@@ -34,77 +35,101 @@ from repro.net.packet import Packet
 CYCLES_PER_SCANNED_BYTE = 2.0
 
 
-class AhoCorasick:
-    """A classic Aho-Corasick multi-pattern matcher.
+def _signatures(patterns: Iterable[bytes]) -> List[bytes]:
+    """Validate a signature set and copy it to a list of ``bytes``.
 
-    States are integers; 0 is the root. ``advance`` consumes one byte
-    and returns ``(next_state, matches_completed_here)`` so that
-    matching can be suspended and resumed across packet boundaries —
+    A lone byte string is rejected rather than iterated: iterating
+    ``b"attack"`` yields ints, and ``bytes(97)`` is 97 zero bytes, so
+    it would silently build six all-zero patterns instead of the one
+    intended signature.
+    """
+    if isinstance(patterns, (bytes, bytearray, str)):
+        raise TypeError(
+            f"patterns must be an iterable of byte strings, got a single "
+            f"{type(patterns).__name__}: {patterns!r}"
+        )
+    signatures = []
+    for pattern in patterns:
+        if not isinstance(pattern, (bytes, bytearray, memoryview)):
+            raise TypeError(
+                f"every pattern must be bytes-like, got "
+                f"{type(pattern).__name__}: {pattern!r}"
+            )
+        if len(pattern) == 0:
+            raise ValueError("empty patterns are not allowed")
+        signatures.append(bytes(pattern))
+    return signatures
+
+
+class AhoCorasick:
+    """A classic Aho-Corasick multi-pattern matcher, compiled to a DFA.
+
+    States are integers; 0 is the root. The constructor builds the goto
+    trie and its failure links, then folds the failure links into a
+    dense table: ``_delta[state][byte]`` is the next state for each of
+    the 256 byte values, so ``scan`` does one list index per byte and
+    never walks a failure link. ``scan`` takes and returns the state,
+    so matching can be suspended and resumed across packet boundaries —
     the cross-packet property DPI needs.
     """
 
     def __init__(self, patterns: Iterable[bytes]):
-        self.patterns: List[bytes] = [bytes(p) for p in patterns]
-        if any(len(p) == 0 for p in self.patterns):
-            raise ValueError("empty patterns are not allowed")
-        self._goto: List[Dict[int, int]] = [{}]
-        self._fail: List[int] = [0]
-        self._output: List[List[int]] = [[]]
+        self.patterns: List[bytes] = _signatures(patterns)
+        goto: List[Dict[int, int]] = [{}]
+        outputs: List[List[int]] = [[]]
         for index, pattern in enumerate(self.patterns):
-            self._insert(pattern, index)
-        self._build_failure_links()
+            state = 0
+            for byte in pattern:
+                nxt = goto[state].get(byte)
+                if nxt is None:
+                    nxt = len(goto)
+                    goto.append({})
+                    outputs.append([])
+                    goto[state][byte] = nxt
+                state = nxt
+            outputs[state].append(index)
 
-    def _insert(self, pattern: bytes, pattern_index: int) -> None:
-        state = 0
-        for byte in pattern:
-            nxt = self._goto[state].get(byte)
-            if nxt is None:
-                self._goto.append({})
-                self._fail.append(0)
-                self._output.append([])
-                nxt = len(self._goto) - 1
-                self._goto[state][byte] = nxt
-            state = nxt
-        self._output[state].append(pattern_index)
-
-    def _build_failure_links(self) -> None:
-        queue = deque()
-        for byte, state in self._goto[0].items():
-            self._fail[state] = 0
-            queue.append(state)
+        # Breadth-first, so a state's failure target (always shallower)
+        # has its full row before the state copies it.
+        root = [0] * 256
+        for byte, child in goto[0].items():
+            root[byte] = child
+        delta: List[List[int]] = [root] * len(goto)
+        fail = [0] * len(goto)
+        queue = deque(goto[0].values())
         while queue:
-            current = queue.popleft()
-            for byte, nxt in self._goto[current].items():
-                queue.append(nxt)
-                fallback = self._fail[current]
-                while fallback and byte not in self._goto[fallback]:
-                    fallback = self._fail[fallback]
-                self._fail[nxt] = self._goto[fallback].get(byte, 0)
-                if self._fail[nxt] == nxt:
-                    self._fail[nxt] = 0
-                self._output[nxt] = self._output[nxt] + self._output[self._fail[nxt]]
+            state = queue.popleft()
+            fallback = delta[fail[state]]
+            row = fallback[:]
+            for byte, child in goto[state].items():
+                fail[child] = fallback[byte]
+                outputs[child] = outputs[child] + outputs[fail[child]]
+                row[byte] = child
+                queue.append(child)
+            delta[state] = row
+        self._delta = delta
+        #: Pattern ids completed on entering each state; empty unless
+        #: the state accepts.
+        self._outputs: List[Tuple[int, ...]] = [tuple(found) for found in outputs]
 
     @property
     def num_states(self) -> int:
-        return len(self._goto)
-
-    def advance(self, state: int, byte: int) -> Tuple[int, List[int]]:
-        """Consume one byte; return (new_state, completed pattern ids)."""
-        while state and byte not in self._goto[state]:
-            state = self._fail[state]
-        state = self._goto[state].get(byte, 0)
-        return state, self._output[state]
+        return len(self._delta)
 
     def scan(self, state: int, data: bytes) -> Tuple[int, List[Tuple[int, int]]]:
         """Scan ``data`` from ``state``; return (end_state, matches).
 
         Matches are ``(offset_of_last_byte, pattern_index)`` pairs.
         """
+        delta = self._delta
+        outputs = self._outputs
         matches: List[Tuple[int, int]] = []
         for offset, byte in enumerate(data):
-            state, found = self.advance(state, byte)
-            for pattern_index in found:
-                matches.append((offset, pattern_index))
+            state = delta[state][byte]
+            found = outputs[state]
+            if found:
+                for pattern_index in found:
+                    matches.append((offset, pattern_index))
         return state, matches
 
 
@@ -123,17 +148,23 @@ class DpiNf(NetworkFunction):  # repro-lint: disable=SPR007
         #: Shared per-flow automaton states, used under spraying modes.
         self._shared_states: Dict[FiveTuple, int] = {}
 
-    def _states_are_core_local(self, ctx: NfContext) -> bool:
-        """True when every packet of a flow stays on one core (RSS)."""
-        return ctx.engine.policy.name == "rss"
+    def _local_states(self, ctx: NfContext) -> Optional[Dict[FiveTuple, int]]:
+        """This core's automaton states when every packet of a flow
+        stays on one core (RSS); None when the states must be shared."""
+        if ctx.engine.policy.name == "rss":
+            return ctx.local.setdefault("dpi_states", {})
+        return None
 
-    def _scan_packet(self, packet: Packet, ctx: NfContext) -> None:
+    def _scan_packet(
+        self,
+        packet: Packet,
+        ctx: NfContext,
+        local_states: Optional[Dict[FiveTuple, int]],
+    ) -> None:
         flow = packet.five_tuple
-        if self._states_are_core_local(ctx):
-            states: Dict[FiveTuple, int] = ctx.local.setdefault("dpi_states", {})
-            state = states.get(flow, 0)
-            state = self._scan_payload(packet, state, ctx)
-            states[flow] = state
+        if local_states is not None:
+            state = self._scan_payload(packet, local_states.get(flow, 0), ctx)
+            local_states[flow] = state
             # Local automaton-state update: cheap.
             ctx.consume_cycles(ctx.engine.costs.flow_lookup_local)
         else:
@@ -153,14 +184,16 @@ class DpiNf(NetworkFunction):  # repro-lint: disable=SPR007
         return state
 
     def connection_packets(self, packets: List[Packet], ctx: NfContext) -> None:
+        local_states = self._local_states(ctx)
         for packet in packets:
             flow = packet.five_tuple
             if packet.flags & 0x02 and not packet.flags & 0x10:  # first SYN
                 if ctx.get_local_flow(flow) is None:
                     ctx.insert_local_flow(flow, {"scanned": 0})
                     ctx.insert_local_flow(flow.reversed(), {"scanned": 0})
-            self._scan_packet(packet, ctx)
+            self._scan_packet(packet, ctx, local_states)
 
     def regular_packets(self, packets: List[Packet], ctx: NfContext) -> None:
+        local_states = self._local_states(ctx)
         for packet in packets:
-            self._scan_packet(packet, ctx)
+            self._scan_packet(packet, ctx, local_states)

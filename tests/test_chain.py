@@ -9,6 +9,7 @@ from repro.core.chain import NfChain, ScopedContext, _ScopedFlowKey
 from repro.core.nf import NetworkFunction
 from repro.net import ACK, FIN, SYN, FiveTuple, make_tcp_packet
 from repro.nfs import FirewallNf, NatNf, TrafficMonitorNf
+from repro.nfs.factory import make_nf
 from repro.nfs.firewall import AclRule
 from repro.sim import MILLISECOND, Simulator
 
@@ -160,3 +161,40 @@ class TestChainStateIsolation:
         )
         sim.run(until=sim.now + 5 * MILLISECOND)
         assert nat.translations_active == 0
+
+
+@pytest.mark.parametrize("mode", ["rss", "sprayer"])
+class TestDpiInChain:
+    """DPI as the last stage of firewall > nat > traffic_monitor > dpi."""
+
+    def _drive(self, mode, payloads):
+        stages = [make_nf(key) for key in ("firewall", "nat", "traffic_monitor", "dpi")]
+        sim, chain, engine, out = build_chain_engine(stages, mode)
+        rng = random.Random(3)
+        f = flow()
+        engine.receive(make_tcp_packet(f, flags=SYN, tcp_checksum=rng.getrandbits(16)), sim.now)
+        sim.run(until=sim.now + MILLISECOND)
+        for seq, payload in enumerate(payloads):
+            packet = make_tcp_packet(f, flags=ACK, seq=seq, tcp_checksum=rng.getrandbits(16))
+            packet.payload = payload
+            packet.payload_len = len(payload)
+            engine.receive(packet, sim.now)
+            sim.run(until=sim.now + MILLISECOND)
+        return stages[-1], engine, out
+
+    def test_split_signature_matches_once_in_the_dpi_scope(self, mode):
+        dpi, engine, out = self._drive(mode, [b"...atta", b"ck..."])
+        assert len(out) == 3
+        assert len(dpi.matches) == 1
+        flow_id, pattern_index = dpi.matches[0]
+        assert dpi.automaton.patterns[pattern_index] == b"attack"
+        assert flow_id.src_ip == 0x0B000001  # DPI sees the NAT's rewrite
+        # The automaton state never lands in the unscoped per-core storage.
+        assert not any("dpi_states" in ctx.local for ctx in engine.contexts)
+        scoped = [ctx.local.get("chain:dpi", {}).get("dpi_states") for ctx in engine.contexts]
+        if mode == "rss":
+            assert not dpi._shared_states
+            assert len([states for states in scoped if states]) == 1
+        else:
+            assert dpi._shared_states
+            assert not any(scoped)

@@ -7,6 +7,7 @@ import pytest
 from repro.core import MiddleboxConfig, MiddleboxEngine
 from repro.net import ACK, SYN, FiveTuple, make_tcp_packet
 from repro.nfs import AhoCorasick, DpiNf
+from repro.nfs.factory import make_nf
 from repro.sim import MILLISECOND, Simulator
 
 
@@ -67,6 +68,39 @@ class TestAhoCorasick:
     def test_num_states_reasonable(self):
         ac = AhoCorasick([b"ab", b"ac"])
         assert ac.num_states == 4  # root, a, ab, ac
+
+    def test_bytes_like_patterns_accepted(self):
+        ac = AhoCorasick([bytearray(b"att"), memoryview(b"ack")])
+        assert ac.patterns == [b"att", b"ack"]
+        _state, matches = ac.scan(0, b"attack")
+        assert matches == [(2, 0), (5, 1)]
+
+
+class TestSignatureValidation:
+    """A malformed signature set must fail loudly, naming the value.
+
+    Iterating a lone ``b"attack"`` yields ints, and ``bytes(97)`` is 97
+    zero bytes: without the check the matcher would silently hunt for
+    all-zero runs, which the generator's zero payloads contain.
+    """
+
+    @pytest.mark.parametrize(
+        "patterns", [b"attack", bytearray(b"attack"), "attack"], ids=repr
+    )
+    def test_lone_string_rejected(self, patterns):
+        with pytest.raises(TypeError, match="attack"):
+            AhoCorasick(patterns)
+
+    @pytest.mark.parametrize("bad", [97, "virus"], ids=repr)
+    def test_non_bytes_element_rejected(self, bad):
+        with pytest.raises(TypeError, match=repr(bad)):
+            AhoCorasick([b"attack", bad])
+
+    def test_factory_rejects_lone_string(self):
+        with pytest.raises(TypeError, match="attack"):
+            make_nf("dpi", patterns=b"attack")
+        with pytest.raises(TypeError, match="attack"):
+            make_nf("dpi_ooo", patterns=b"attack")
 
 
 class TestDpiNf:
